@@ -18,11 +18,12 @@ stay cheap on the model-construction path.
 
 from __future__ import annotations
 
+import ast
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..diagnostics import Diagnostic, Report, Severity
 from .fingerprint import generator_fingerprint
-from .replay import replay_probe, replay_stepper
+from .replay import _hoistable_guards, replay_probe, replay_stepper
 
 __all__ = [
     "DEFAULT_PASSES",
@@ -54,7 +55,7 @@ class SpecCertifyContext:
 
     def __init__(self, spec):
         self.spec = spec
-        self._ident_sites = None
+        self._inline_sites = None
         self._compilability = None
         # force every probe plan so the compile census and the compiled
         # probes exist regardless of what the model ran before
@@ -62,14 +63,16 @@ class SpecCertifyContext:
             state.probe_plan()
 
     @property
-    def ident_sites(self):
-        """Harvested dynamic-ident callables (effects engine harvest)."""
-        if self._ident_sites is None:
+    def inline_sites(self):
+        """Harvested dynamic-ident and guard callables (effects engine
+        harvest) — the sites a ``__fuse_inline__`` declaration may tag."""
+        if self._inline_sites is None:
             from ..effects.engine import harvest_spec
-            self._ident_sites = [
-                site for site in harvest_spec(self.spec) if site.role == "ident"
+            self._inline_sites = [
+                site for site in harvest_spec(self.spec)
+                if site.role in ("ident", "guard")
             ]
-        return self._ident_sites
+        return self._inline_sites
 
     @property
     def compilability(self):
@@ -194,11 +197,11 @@ class Trv002InlineContract(CertifyPass):
         from ..effects.engine import PROBE_DEPTH
         from ..effects.footprint import analyze_callable
 
-        for site in ctx.ident_sites:
+        for site in ctx.inline_sites:
             inline = getattr(site.fn, "__fuse_inline__", None)
             if inline is None:
                 continue
-            if not safe_inline_expr(inline):
+            if not safe_inline_expr(inline, guard=site.role == "guard"):
                 yield self.diag(
                     ctx,
                     f"{site.name}: __fuse_inline__ declaration "
@@ -249,16 +252,17 @@ class Trv003ProbeReplay(CertifyPass):
         for edge in ctx.spec.edges:
             if getattr(edge, "compile_mode", "auto") == "interpreted":
                 continue  # pinned to the interpreted fallback: no artifact
-            probe = compile_edge_probe(edge)
-            if getattr(probe, "__probe_source__", None) is None:
-                continue  # interpreted fallback closure: no artifact
-            for problem in replay_probe(edge, probe)[:MAX_PER_ANCHOR]:
-                yield self.diag(
-                    ctx,
-                    f"compiled probe diverges from the primitive plan: "
-                    f"{problem}",
-                    edge=edge,
-                )
+            # the plan's probe, and the tail probe a fused stepper calls
+            # after testing the edge's leading guards itself
+            for start in sorted({0, _hoistable_guards(edge)}):
+                probe = compile_edge_probe(edge, None, start)
+                for problem in replay_probe(edge, probe, start)[:MAX_PER_ANCHOR]:
+                    yield self.diag(
+                        ctx,
+                        f"compiled probe diverges from the primitive plan: "
+                        f"{problem}",
+                        edge=edge,
+                    )
 
 
 class Trv007FallbackConsistency(CertifyPass):
@@ -493,8 +497,9 @@ class Trv006PageMapCoverage(CertifyPass):
 def _single_return_expr(fn) -> Optional[str]:
     """The normalized ``ast.dump`` of *fn*'s body when it is a single
     ``return <expr>`` (or a lambda), with its first parameter renamed to
-    ``osm``; None otherwise."""
-    import ast
+    ``osm`` and each closure variable holding a ``str``/``int``/``bool``/
+    ``None`` constant replaced by that literal (a factory-made guard's
+    ``unit_name``); None otherwise."""
     import inspect
     import textwrap
 
@@ -518,13 +523,34 @@ def _single_return_expr(fn) -> Optional[str]:
                 or node.body[0].value is None:
             return None
         expr = node.body[0].value
+    literals = {}
+    code = getattr(fn, "__code__", None)
+    for name, cell in zip(code.co_freevars if code else (),
+                          getattr(fn, "__closure__", None) or ()):
+        try:
+            value = cell.cell_contents
+        except ValueError:  # an empty cell
+            continue
+        if value is None or type(value) in (str, int, bool):
+            literals[name] = value
+    expr = _ClosureLiterals(literals).visit(expr)
     return _normalized_expr_dump(ast.unparse(expr), param)
+
+
+class _ClosureLiterals(ast.NodeTransformer):
+    """Replaces loads of the named closure variables by their values."""
+
+    def __init__(self, literals):
+        self.literals = literals
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id in self.literals:
+            return ast.copy_location(ast.Constant(self.literals[node.id]), node)
+        return node
 
 
 def _normalized_expr_dump(expr: str, param: str) -> Optional[str]:
     """``ast.dump`` of *expr* with the name *param* rewritten to ``osm``."""
-    import ast
-
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError:

@@ -201,6 +201,9 @@ class _Extractor:
         elif isinstance(stmt, ast.If):
             before = len(self.events)
             self._scan(stmt.test)
+            inline = self._inline_guard(stmt.test)
+            if inline is not None:
+                self.emit("guard_inline", inline)
             if len(self.events) > before:
                 # a refusing call in the test: the body must escape
                 if not any(self._is_escape(s) for s in stmt.body):
@@ -223,6 +226,19 @@ class _Extractor:
         else:
             raise ExtractionError(
                 f"unclassifiable statement {type(stmt).__name__}")
+
+    def _inline_guard(self, test) -> Optional[str]:
+        """The normalized dump of a pasted guard expression when *test*
+        is ``not (<call-free expression over osm>)``, else None."""
+        if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)):
+            return None
+        nodes = list(ast.walk(test.operand))
+        if any(isinstance(node, ast.Call) for node in nodes):
+            return None
+        if not any(isinstance(node, ast.Name) and self._is_kind(node, "osm")
+                   for node in nodes):
+            return None
+        return ast.dump(test.operand)
 
     def _mark_local(self, target) -> None:
         if isinstance(target, ast.Name):
@@ -586,10 +602,19 @@ def _matches(matchers, events: Sequence[Tuple]) -> bool:
 # expected sequences
 
 
-def _inlined(fn) -> bool:
+def _inlined(fn, guard: bool = False) -> bool:
     from ...core.fuse import safe_inline_expr
     inline = getattr(fn, "__fuse_inline__", None)
-    return inline is not None and safe_inline_expr(inline)
+    return inline is not None and safe_inline_expr(inline, guard=guard)
+
+
+def _guard_expected(p) -> "_One":
+    """A guard test: the pasted ``__fuse_inline__`` comparison when the
+    predicate declares a safe one, else one call of the predicate."""
+    if _inlined(p.predicate, guard=True):
+        tree = ast.parse(p.predicate.__fuse_inline__, mode="eval")
+        return _One("guard_inline", ast.dump(tree.body))
+    return _One("call1", p.predicate)
 
 
 def _slot_arg(slot) -> Any:
@@ -637,7 +662,7 @@ def _native_expected(edge) -> Optional[List]:
     for p in primitives:
         kind = type(p)
         if kind is Guard:
-            sequence.append(_One("call1", p.predicate))
+            sequence.append(_guard_expected(p))
         elif kind is Allocate:
             if p._dynamic and not _inlined(p.ident):
                 sequence.append(_One("call1", p.ident))
@@ -690,9 +715,58 @@ def _native_expected(edge) -> Optional[List]:
     return sequence
 
 
-def _txn_expected(edge) -> List:
-    """Matchers for the transactional form: probe, commit, bookkeeping."""
-    return [_One("txn_probe", ANY), _One("txn_commit")] + \
+class _TailProbe:
+    """One ``txn_probe`` event whose probe covers exactly *primitives* —
+    the ones left after the hoisted guards.  That the probe translates
+    them faithfully is TRV003's business: it replays the edge compiler's
+    probe for every such tail."""
+
+    def __init__(self, primitives):
+        self.primitives = primitives
+
+    def ends(self, events: Sequence[Tuple], start: int) -> Iterator[int]:
+        if start < len(events) and events[start][0] == "txn_probe":
+            fn, owner = events[start][1]
+            if owner is None and _probe_covers(fn, self.primitives):
+                yield start + 1
+
+
+def _probe_covers(probe, primitives) -> bool:
+    """True when *probe* came from the edge compiler for exactly
+    *primitives* (compared by identity, in order)."""
+    from ...core.edgecompile import _always_true, _interpreted
+
+    if probe is _always_true:
+        return not primitives
+    if getattr(probe, "__code__", None) is _interpreted(()).__code__:
+        covered = probe.__defaults__[0]
+    else:
+        covered = getattr(probe, "__probe_primitives__", None)
+    return covered is not None and len(covered) == len(primitives) \
+        and all(a is b for a, b in zip(covered, primitives))
+
+
+def _hoistable_guards(edge) -> int:
+    """Leading plain guards a transaction-mode attempt may test before
+    the probe (none on an edge pinned to the interpreted plan).  Derived
+    here from the edge alone, not taken from the fuser, like every other
+    expectation of the replay."""
+    if getattr(edge, "compile_mode", "auto") == "interpreted":
+        return 0
+    n = 0
+    for p in edge.condition.primitives:
+        if type(p) is not Guard:
+            break
+        n += 1
+    return n
+
+
+def _txn_expected(edge, hoisted: int) -> List:
+    """Matchers for the transactional form: the first *hoisted* guards,
+    a probe over the remaining primitives, commit, bookkeeping."""
+    primitives = edge.condition.primitives
+    return [_guard_expected(p) for p in primitives[:hoisted]] + [
+        _TailProbe(primitives[hoisted:]), _One("txn_commit")] + \
         _bookkeeping_expected(edge)
 
 
@@ -715,9 +789,9 @@ def _bookkeeping_expected(edge) -> List:
     return sequence
 
 
-def _probe_expected(edge) -> Optional[List]:
-    """Matchers for a compiled edge probe (:mod:`repro.core.edgecompile`)."""
-    primitives = edge.condition.primitives if edge.condition is not None else []
+def _probe_expected(primitives) -> Optional[List]:
+    """Matchers for a compiled probe (:mod:`repro.core.edgecompile`) of
+    *primitives*."""
     sequence: List = []
     for p in primitives:
         kind = type(p)
@@ -853,7 +927,12 @@ def replay_stepper(state, spec) -> List[str]:
         native = _native_expected(edge)
         if native is not None and _matches(native, extractor.events):
             continue
-        if _matches(_txn_expected(edge), extractor.events):
+        # a transaction-mode attempt has exactly one probe; the events
+        # before it are the guards it hoisted
+        hoisted = next((i for i, e in enumerate(extractor.events)
+                        if e[0] == "txn_probe"), None)
+        if hoisted is not None and hoisted <= _hoistable_guards(edge) \
+                and _matches(_txn_expected(edge, hoisted), extractor.events):
             continue
         problems.append(
             f"{edge.qualname}: generated effects do not replay against the "
@@ -861,8 +940,9 @@ def replay_stepper(state, spec) -> List[str]:
     return problems
 
 
-def replay_probe(edge, probe) -> List[str]:
-    """Validate a compiled edge probe against the interpreted plan.
+def replay_probe(edge, probe, start: int = 0) -> List[str]:
+    """Validate a compiled edge probe against the interpreted plan of
+    the edge's primitives from index *start* on.
 
     Returns problem strings; an interpreted probe (no captured source)
     yields no problems — there is no translation to validate.
@@ -870,6 +950,7 @@ def replay_probe(edge, probe) -> List[str]:
     source = getattr(probe, "__probe_source__", None)
     if source is None:
         return []
+    primitives = edge.condition.primitives[start:]
     try:
         node = parse_function(source, "_probe")
     except (ValueError, SyntaxError) as exc:
@@ -888,7 +969,7 @@ def replay_probe(edge, probe) -> List[str]:
         extractor.run(node.body)
     except ExtractionError as exc:
         return [f"{edge.qualname}: {exc}"]
-    expected = _probe_expected(edge)
+    expected = _probe_expected(primitives)
     if expected is None:
         return [f"{edge.qualname}: compiled probe for a custom primitive"]
     if not _matches(expected, extractor.events):

@@ -135,11 +135,11 @@ def _interpreted(primitives) -> Callable:
 
 def compile_condition(condition: Condition) -> Callable:
     """A ``probe(osm, txn) -> bool`` function specialised for *condition*."""
-    probe, _reason = _compile_or_fallback(condition)
+    probe, _reason = _compile_or_fallback(condition.primitives)
     return probe
 
 
-def compile_edge_probe(edge, spec=None) -> Callable:
+def compile_edge_probe(edge, spec=None, start: int = 0) -> Callable:
     """Compile *edge*'s guard condition, recording the outcome.
 
     The spec-aware entry point used by ``State.probe_plan``: behaves like
@@ -147,11 +147,16 @@ def compile_edge_probe(edge, spec=None) -> Callable:
     pinned to ``"interpreted"`` — e.g. by :func:`apply_compilability` —
     skip codegen entirely) and records the outcome in
     ``spec.compile_stats`` so fallbacks are countable and reportable.
+
+    *start* drops the condition's first *start* primitives: a fused
+    stepper (:mod:`repro.core.fuse`) tests an edge's leading guards
+    itself and probes only the rest.
     """
+    primitives = edge.condition.primitives[start:]
     if getattr(edge, "compile_mode", "auto") == "interpreted":
-        probe, reason = _interpreted_probe(edge.condition), "policy"
+        probe, reason = _interpreted_probe(primitives), "policy"
     else:
-        probe, reason = _compile_or_fallback(edge.condition)
+        probe, reason = _compile_or_fallback(primitives)
     if spec is not None:
         spec.compile_stats.record(edge, reason)
     return probe
@@ -198,16 +203,15 @@ def apply_compilability(spec, report) -> int:
     return changed
 
 
-def _interpreted_probe(condition: Condition) -> Callable:
-    if not condition.primitives:
+def _interpreted_probe(primitives) -> Callable:
+    if not primitives:
         return _always_true
-    return _interpreted(condition.primitives)
+    return _interpreted(primitives)
 
 
-def _compile_or_fallback(condition: Condition):
+def _compile_or_fallback(primitives):
     """``(probe, fallback_reason)``; *fallback_reason* is None when the
-    condition compiled to straight-line code."""
-    primitives = condition.primitives
+    primitives compiled to straight-line code."""
     if not primitives:
         return _always_true, None
     for p in primitives:
@@ -368,4 +372,5 @@ def _compile(primitives) -> Callable:
     exec(compile(src, "<edge-condition>", "exec"), env)
     probe = env["_probe"]
     probe.__probe_source__ = src  # transcheck introspection (TRV003)
+    probe.__probe_primitives__ = tuple(primitives)  # ... and TRV001
     return probe

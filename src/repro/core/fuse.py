@@ -27,7 +27,25 @@ Two generation modes per edge, decided statically:
 * **transaction** — anything else (custom managers, custom primitives,
   edges pinned ``compile_mode="interpreted"``) probes through the
   per-edge compiled probe against ``osm._txn`` and commits via
-  :meth:`Transaction.commit`, exactly like ``try_transition``.
+  :meth:`Transaction.commit`, exactly like ``try_transition``.  The
+  edge's leading :class:`Guard` primitives are tested first, before
+  ``osm._txn`` is touched, and the compiled probe covers only the
+  primitives after them — each guard still runs once per attempt, in
+  primitive order (not on edges pinned to the interpreted plan).
+
+**Inline declarations.**  A dynamic-ident callable or a guard predicate
+may declare ``fn.__fuse_inline__ = "<expression over osm>"``: a
+side-effect-free expression that evaluates to what ``fn(osm)`` returns.
+The stepper then pastes the expression instead of calling ``fn``.  An
+ident expression may only navigate data (names, attributes, subscripts,
+literals); a guard expression may also compare with ``==``, ``!=``,
+``is`` and ``is not``.  A model fixes a per-instruction choice at decode
+time this way: a PPC-750 route guard is
+``osm.operation.instr.unit == 'lsu'``.  The declaration must mirror the
+body; transcheck rule TRV002 checks it (closure constants such as a
+factory's ``unit_name`` are substituted first) and TRV001 checks that the
+stepper pasted it where the guard belongs.  An expression outside the
+admitted shape is not pasted; the site stays a call.
 
 **Soundness.** A fused stepper must be bit-identical to
 ``try_transition`` over the same edge plan: every manager call, counter
@@ -135,40 +153,48 @@ _INLINE_SAFE_NODES = (
     ast.Tuple, ast.List, ast.Index, ast.Slice, ast.Load,
 )
 
+#: a guard's inline expression may also compare what it navigates to
+_INLINE_GUARD_NODES = _INLINE_SAFE_NODES + (
+    ast.Compare, ast.Eq, ast.NotEq, ast.Is, ast.IsNot,
+)
 
-def safe_inline_expr(expr: Any) -> bool:
+
+def safe_inline_expr(expr: Any, guard: bool = False) -> bool:
     """True when *expr* is a syntactically side-effect-free expression.
 
     The ``__fuse_inline__`` contract only admits pure data navigation
     over ``osm`` — names, attribute chains, subscripts and literal
-    containers.  Calls, comprehensions, lambdas, boolean operators and
-    anything else that could hide effects (or diverge from the tagged
-    function's footprint) are rejected; the fuser then demotes the site
-    to a dynamic call instead of pasting the expression (and transcheck
-    rule TRV002 reports the broken declaration)."""
+    containers, plus (for a *guard* predicate) the comparisons ``==``,
+    ``!=``, ``is`` and ``is not``.  Calls, comprehensions, lambdas,
+    boolean operators and anything else that could hide effects (or
+    diverge from the tagged function's footprint) are rejected; the fuser
+    then demotes the site to a dynamic call instead of pasting the
+    expression (and transcheck rule TRV002 reports the broken
+    declaration)."""
     if not isinstance(expr, str):
         return False
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError:
         return False
-    return all(isinstance(node, _INLINE_SAFE_NODES) for node in ast.walk(tree))
+    allowed = _INLINE_GUARD_NODES if guard else _INLINE_SAFE_NODES
+    return all(isinstance(node, allowed) for node in ast.walk(tree))
 
 
-def _ident_call(g: _Codegen, hint: str, fn: Any) -> str:
+def _call_expr(g: _Codegen, hint: str, fn: Any, guard: bool = False) -> str:
     """A source expression for ``fn(osm)``.
 
-    A dynamic-ident callable may declare ``__fuse_inline__`` — a
-    side-effect-free source expression over ``osm`` that evaluates to the
-    same value as calling it — and the stepper then pays zero call
-    overhead for the hazard-identifier hot path.  The declaration is a
-    contract: the expression and the function body must stay in lockstep
-    (the A/B determinism tests compare the fused and reference paths, and
-    transcheck's TRV002 compares the footprints statically).  A tagged
-    expression that fails :func:`safe_inline_expr` is not pasted — the
-    site demotes to the dynamic call."""
+    A dynamic-ident callable or a guard predicate may declare
+    ``__fuse_inline__`` — a side-effect-free source expression over
+    ``osm`` that evaluates to the same value as calling it — and the
+    stepper then pays zero call overhead on the hot path.  The
+    declaration is a contract: the expression and the function body must
+    stay in lockstep (the A/B determinism tests compare the fused and
+    reference paths, and transcheck's TRV002 compares the footprints
+    statically).  A tagged expression that fails :func:`safe_inline_expr`
+    is not pasted — the site demotes to the dynamic call."""
     inline = getattr(fn, "__fuse_inline__", None)
-    if inline is not None and safe_inline_expr(inline):
+    if inline is not None and safe_inline_expr(inline, guard=guard):
         return f"({inline})"
     return f"{g.bind(hint, fn)}(osm)"
 
@@ -573,9 +599,8 @@ def _emit_release_hook(g, w, dispatch, mv, tok, value_expr):
             w(f"{mv}.on_release_commit(osm, {tok}, {value_expr})")
 
 
-def _nat_guard(g, w, p, idx, ctx):
-    pred = g.bind(f"g{idx}pred", p.predicate)
-    with w.block(f"if not {pred}(osm):"):
+def _nat_guard(g, w, p, idx, ctx=None):
+    with w.block(f"if not {_call_expr(g, f'g{idx}pred', p.predicate, guard=True)}:"):
         w("break")
 
 
@@ -586,7 +611,7 @@ def _nat_allocate(g, w, p, idx, ctx):
     out = g.fresh(f"a{idx}t")
     if p._dynamic:
         iv = g.fresh(f"a{idx}i")
-        w(f"{iv} = {_ident_call(g, f'a{idx}ident', p.ident)}")
+        w(f"{iv} = {_call_expr(g, f'a{idx}ident', p.ident)}")
         w(f"{out} = None")
         with w.block(f"if {iv} is not None:"):
             em.allocate(g, w, p.manager, out, iv, ctx.avoid(p.manager))
@@ -608,7 +633,7 @@ def _nat_allocate_many(g, w, p, idx, ctx):
     em = _EMITTERS[type(p.manager)]
     m = g.bind("mgr", p.manager)
     slot = _expr(g, f"m{idx}slot", p.slot)
-    idents_call = _ident_call(g, f"m{idx}idents", p.idents)
+    idents_call = _call_expr(g, f"m{idx}idents", p.idents)
     lst = g.fresh(f"m{idx}l")
     ok = g.fresh(f"m{idx}ok")
     iv = g.fresh(f"m{idx}i")
@@ -644,7 +669,7 @@ def _nat_inquire(g, w, p, idx, ctx):
 
     if p._dynamic:
         iv = g.fresh(f"i{idx}v")
-        w(f"{iv} = {_ident_call(g, f'i{idx}ident', p.ident)}")
+        w(f"{iv} = {_call_expr(g, f'i{idx}ident', p.ident)}")
         with w.block(f"if {iv} is not None:"):
             with w.block(f"if not isinstance({iv}, (list, tuple)):"):
                 check(iv, scalar_fail(iv))
@@ -819,8 +844,28 @@ def _emit_native_edge(g, w, edge, slot_cands):
     _emit_native_commit(g, w, ctx)
 
 
+def _leading_guards(edge) -> int:
+    """How many of *edge*'s first primitives are plain guards a
+    transaction-mode attempt tests before it touches ``osm._txn`` (none
+    on an edge pinned to the interpreted plan)."""
+    if getattr(edge, "compile_mode", "auto") == "interpreted":
+        return 0
+    n = 0
+    for p in edge.condition.primitives:
+        if type(p) is not Guard:
+            break
+        n += 1
+    return n
+
+
 def _emit_txn_edge(g, w, edge, spec, k):
-    probe = g.bind(f"e{k}probe", compile_edge_probe(edge, spec))
+    # A guard reads no token state, so testing the leading guards first
+    # keeps primitive order and skips the transaction entirely when one
+    # refuses; the compiled probe covers only the primitives after them.
+    n = _leading_guards(edge)
+    for idx, p in enumerate(edge.condition.primitives[:n]):
+        _nat_guard(g, w, p, idx)
+    probe = g.bind(f"e{k}probe", compile_edge_probe(edge, spec, start=n))
     tv = g.fresh(f"e{k}txn")
     w(f"{tv} = osm._txn")
     with w.block(f"if {tv}.dirty:"):
@@ -947,9 +992,12 @@ class _Uncertified:
 
 def _structure_key(spec) -> tuple:
     """Cache key for the effectcheck verdict: the spec's structure plus
-    the identity (qualname) of every live edge callable."""
+    the identity (qualname) of every live edge callable and the
+    ``__fuse_inline__`` expression it declares (closures made by one
+    factory share a qualname but not their inline expressions)."""
     def qn(obj):
-        return getattr(obj, "__qualname__", None)
+        return (getattr(obj, "__qualname__", None),
+                getattr(obj, "__fuse_inline__", None))
 
     parts: List[Any] = [spec.name, tuple(getattr(spec, "lint_allow", ()))]
     for edge in spec.edges:

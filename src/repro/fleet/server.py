@@ -13,6 +13,10 @@ the server streams response lines and closes:
   by a ``{"type": "summary", ...}`` line
 * ``{"op": "shutdown"}`` → ``{"type": "bye"}`` and the server stops
 
+A request that is not one JSON object on a line of at most
+``MAX_REQUEST_BYTES`` bytes (newline included) gets a single
+``{"type": "error", ...}`` line.
+
 Connections are handled on daemon threads over one shared
 :class:`~repro.fleet.pool.FleetRunner`, so concurrent sweeps share the
 worker pool, the result cache and the in-flight dedupe table: two
@@ -31,6 +35,9 @@ from .pool import FleetRunner
 #: default port; "OSM1" on a phone pad has nothing on just picking one
 DEFAULT_PORT = 7341
 
+#: cap on one request line, newline included
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
 
 class _Handler(socketserver.StreamRequestHandler):
     def _send(self, payload: Dict[str, Any]) -> None:
@@ -39,13 +46,22 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         server: "FleetServer" = self.server  # type: ignore[assignment]
-        line = self.rfile.readline()
+        line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+        if len(line) > MAX_REQUEST_BYTES:
+            self._send({"type": "error", "message":
+                        f"request line exceeds {MAX_REQUEST_BYTES} bytes"})
+            return
         if not line.strip():
             return
         try:
             request = json.loads(line.decode("utf-8"))
         except ValueError as exc:
             self._send({"type": "error", "message": f"bad request JSON: {exc}"})
+            return
+        if not isinstance(request, dict):
+            self._send({"type": "error", "message":
+                        "request must be a JSON object, not "
+                        f"{type(request).__name__}"})
             return
         op = request.get("op")
         try:
@@ -57,6 +73,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 jobs = request.get("jobs")
                 if not isinstance(jobs, list) or not jobs:
                     raise ValueError("submit needs a non-empty 'jobs' list")
+                if not all(isinstance(job, dict) for job in jobs):
+                    raise ValueError("every entry of 'jobs' must be a JSON object")
                 completed = cache_hits = dedup_hits = errors = 0
                 for record in server.runner.submit(jobs):
                     completed += 1

@@ -103,14 +103,34 @@ class OooOperation:
         return f"OooOperation(#{self.seq} {self.instr.text}{tag})"
 
 
-def unit_routes(instr) -> Tuple[str, ...]:
-    """Acceptable function units in preference order for an instruction."""
-    unit = instr.unit
+def routes_for_unit(unit: str) -> Tuple[str, ...]:
+    """Acceptable function units in preference order for an instruction
+    the decoder assigned to *unit*."""
     if unit == ppc_isa.UNIT_IU2:
         # Plain integer work runs on either IU; prefer IU2 to keep IU1
         # free for multiply/divide (dispatcher heuristic).
         return (ppc_isa.UNIT_IU2, ppc_isa.UNIT_IU1)
     return (unit,)
+
+
+def unit_routes(instr) -> Tuple[str, ...]:
+    """Acceptable function units in preference order for an instruction."""
+    return routes_for_unit(instr.unit)
+
+
+def route_owner(unit_name: str, choice_index: int) -> str:
+    """The decoded unit whose *choice_index*-th route is *unit_name*.
+
+    Routes depend on nothing but ``instr.unit``, which decode fixes, so
+    each route guard is one comparison against the unit named here."""
+    owners = [unit for unit in UNIT_NAMES
+              if routes_for_unit(unit)[choice_index:choice_index + 1]
+              == (unit_name,)]
+    if len(owners) != 1:
+        raise ValueError(
+            f"route {choice_index} to {unit_name!r} is taken by "
+            f"{len(owners)} decoded units, not exactly one")
+    return owners[0]
 
 
 class FetchEngine(HardwareModule):
@@ -403,16 +423,22 @@ class Ppc750Model:
         return spec
 
     def _route_guard(self, unit_name: str, choice_index: int):
-        def guard(osm) -> bool:
-            routes = unit_routes(osm.operation.instr)
-            return len(routes) > choice_index and routes[choice_index] == unit_name
+        """True when *unit_name* is the operation's *choice_index*-th
+        route in :func:`unit_routes`."""
+        decoded_unit = route_owner(unit_name, choice_index)
 
+        def guard(osm) -> bool:
+            return osm.operation.instr.unit == decoded_unit
+
+        # inlined into fused steppers (must mirror the body above)
+        guard.__fuse_inline__ = f"osm.operation.instr.unit == {decoded_unit!r}"
         return guard
 
     def _station_guard(self, unit_name: str):
         def guard(osm) -> bool:
             return osm.operation.rs_unit == unit_name
 
+        guard.__fuse_inline__ = f"osm.operation.rs_unit == {unit_name!r}"
         return guard
 
     # -- edge actions ----------------------------------------------------------

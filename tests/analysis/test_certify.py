@@ -53,6 +53,12 @@ def _warnings(report, code=None):
     ]
 
 
+def _inline_guard(spec, label):
+    return next(p.predicate for edge in spec.edges
+                for p in edge.condition.primitives
+                if getattr(p, "label", None) == label)
+
+
 def _fused_state(spec):
     state = next(
         (s for s in spec.states.values() if s._fused is not None), None)
@@ -109,12 +115,44 @@ class TestSpecRuleMutations:
             p5model._source_regs.__fuse_inline__ = original
         assert found and "diverges" in found[0].message
 
+    def test_trv002_fires_on_guard_naming_the_wrong_unit(self):
+        spec = build_spec("ppc750")
+        guard = _inline_guard(spec, "route-lsu")
+        guard.__fuse_inline__ = "osm.operation.instr.unit == 'fpu'"
+        found = _errors(certify_spec(spec, codes=["TRV002"]), "TRV002")
+        assert [d.edge for d in found] == ["direct-lsu@4"]
+        assert "diverges" in found[0].message
+
+    def test_trv001_fires_on_dropped_hoisted_guard(self):
+        spec = build_spec("ppc750")
+        state = spec.states["Q"]
+        assert certify_fused_states(spec) == []
+        test = "        if not (osm.operation.instr.unit == 'lsu'):\n"
+        source = state._fused.__fused_source__
+        assert test in source
+        state._fused.__fused_source__ = source.replace(
+            test + "            break\n", "", 1)
+        found = _errors(certify_spec(spec, codes=["TRV001"]), "TRV001")
+        assert found and "direct-lsu" in found[0].message
+
+    def test_trv001_fires_on_guard_tested_twice(self, monkeypatch):
+        # a transaction-mode probe that still covers the hoisted guard
+        # evaluates it twice per attempt
+        spec = build_spec("ppc750")
+        real = edgecompile.compile_edge_probe
+        monkeypatch.setattr(fuse, "compile_edge_probe",
+                            lambda edge, spec=None, start=0: real(edge, spec))
+        state = spec.states["Q"]
+        state._fused = fuse.generate_stepper(state, spec)
+        failures = certify_fused_states(spec)
+        assert [name for name, _ in failures] == ["Q"]
+
     def test_trv003_fires_on_corrupted_probe_source(self, monkeypatch):
         spec = build_spec("pipeline5")
         real = edgecompile.compile_edge_probe
 
-        def corrupted(edge, spec=None):
-            probe = real(edge, spec)
+        def corrupted(edge, spec=None, start=0):
+            probe = real(edge, spec, start)
             source = getattr(probe, "__probe_source__", None)
             if source is not None and "txn.grants.append" in source:
                 probe.__probe_source__ = source.replace(
@@ -125,6 +163,22 @@ class TestSpecRuleMutations:
         found = _errors(certify_spec(spec, codes=["TRV003"]), "TRV003")
         assert found, "TRV003 must fire when a compiled probe drops a grant"
         assert "diverges from the primitive plan" in found[0].message
+
+    def test_trv003_fires_on_corrupted_tail_probe(self, monkeypatch):
+        # the probe a fused stepper calls after its hoisted guards
+        spec = build_spec("ppc750")
+        real = edgecompile.compile_edge_probe
+
+        def corrupted(edge, spec=None, start=0):
+            probe = real(edge, spec, start)
+            if start:
+                probe.__probe_source__ = probe.__probe_source__.replace(
+                    "txn.grants.append", "pass  #", 1)
+            return probe
+
+        monkeypatch.setattr(edgecompile, "compile_edge_probe", corrupted)
+        found = _errors(certify_spec(spec, codes=["TRV003"]), "TRV003")
+        assert found and {d.state for d in found} == {"I", "Q", "R"}
 
     def test_trv007_fires_on_census_drift(self):
         spec = build_spec("pipeline5")
@@ -420,9 +474,22 @@ class TestInlineContract:
                 name = "inline-fixture"
 
             def __init__(self, fn):
-                self.ident_sites = [_Site(fn)]
+                self.inline_sites = [_Site(fn)]
 
         return list(Trv002InlineContract().run(_Ctx(fn)))
+
+
+# -- satellite: inline declarations are part of the certification key --------
+
+def test_structure_key_distinguishes_inline_declarations():
+    a, b = build_spec("ppc750"), build_spec("ppc750")
+    assert fuse._structure_key(a) == fuse._structure_key(b)
+    _inline_guard(b, "route-lsu").__fuse_inline__ = \
+        "osm.operation.instr.unit == 'fpu'"
+    assert fuse._structure_key(a) != fuse._structure_key(b)
+    _inline_guard(a, "route-lsu").__fuse_inline__ = \
+        "osm.operation.instr.unit == 'fpu'"
+    assert fuse._structure_key(a) == fuse._structure_key(b)
 
 
 # -- certificate freshness ----------------------------------------------------

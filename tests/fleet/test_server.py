@@ -1,10 +1,13 @@
 """Fleet server/client protocol over a real socket (ephemeral port)."""
 
+import json
+import socket
 import threading
 
 import pytest
 
 from repro.fleet import FleetClient, FleetClientError, FleetServer
+from repro.fleet import server as server_module
 
 JOBS = [
     {
@@ -35,6 +38,14 @@ def client():
         server.shutdown()
         thread.join(timeout=5)
         server.server_close()
+
+
+def _raw_request(client, data: bytes):
+    """Send *data* as is and return every reply line, decoded."""
+    with socket.create_connection((client.host, client.port), timeout=10) as conn:
+        conn.sendall(data)
+        with conn.makefile("rb") as stream:
+            return [json.loads(line) for line in stream]
 
 
 class TestProtocol:
@@ -91,3 +102,31 @@ class TestShutdown:
         thread.join(timeout=5)
         assert not thread.is_alive()
         server.server_close()
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("line", [b"[1,2]", b'"x"', b"null", b"3"])
+    def test_non_object_request_gets_an_error_reply(self, client, line):
+        replies = _raw_request(client, line + b"\n")
+        assert [r["type"] for r in replies] == ["error"]
+        assert "JSON object" in replies[0]["message"]
+        assert client.ping()["type"] == "pong"  # the server lives on
+
+    def test_non_object_job_gets_an_error_reply(self, client):
+        with pytest.raises(FleetClientError, match="JSON object"):
+            list(client.submit([dict(JOBS[0]), 1]))
+
+    def test_oversized_request_gets_an_error_reply(self, client, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_REQUEST_BYTES", 1024)
+        line = json.dumps({"op": "ping", "pad": "x" * 2000}).encode() + b"\n"
+        replies = _raw_request(client, line)
+        assert [r["type"] for r in replies] == ["error"]
+        assert "exceeds 1024 bytes" in replies[0]["message"]
+        assert client.ping()["type"] == "pong"
+
+    def test_request_at_the_cap_is_served(self, client, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_REQUEST_BYTES", 1024)
+        line = json.dumps({"op": "ping"}).encode()
+        line = line[:-1] + b" " * (1023 - len(line)) + b"}\n"
+        assert len(line) == 1024
+        assert [r["type"] for r in _raw_request(client, line)] == ["pong"]

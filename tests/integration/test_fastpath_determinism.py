@@ -16,7 +16,7 @@ from repro.isa.ppc import assemble as asm_ppc
 from repro.models.ppc750 import Ppc750Model
 from repro.models.strongarm import StrongArmModel
 from repro.reporting.pipeview import PipelineTracer
-from repro.workloads import mediabench
+from repro.workloads import mediabench, speclike
 
 
 def _run(model, reference):
@@ -64,6 +64,26 @@ def test_ppc750_fused_matches_unfused(name):
     fused = _run(Ppc750Model(asm_ppc(source), fused=True), reference=False)
     plain = _run(Ppc750Model(asm_ppc(source), fused=False), reference=False)
     assert fused == plain
+
+
+def test_ppc750_back_to_back_builds_match_reference_and_unfused():
+    # Many builds in one process, as a benchmark run makes them: state
+    # that leaked from one build into the next would make a later fused
+    # run differ from the reference and unfused runs of its program.
+    sources = [mediabench.ppc_source("g721_dec"),
+               speclike.ppc_source("pointer_chase"),
+               speclike.ppc_source("lz_compress")]
+    expected = {}
+    for round_ in range(2):
+        for index, source in enumerate(sources):
+            fast = _run(Ppc750Model(asm_ppc(source)), reference=False)
+            if round_ == 0:
+                expected[index] = _run(Ppc750Model(asm_ppc(source)),
+                                       reference=True)
+                plain = _run(Ppc750Model(asm_ppc(source), fused=False),
+                             reference=False)
+                assert plain == expected[index]
+            assert fast == expected[index]
 
 
 def test_fused_steppers_actually_installed():

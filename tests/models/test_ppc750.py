@@ -1,9 +1,15 @@
 """Tests for the PPC-750 out-of-order superscalar model (Section 5.2)."""
 
 
+from types import SimpleNamespace
+
+import pytest
+
+from repro.core import Guard
 from repro.isa.ppc import assemble
 from repro.iss import PpcInterpreter
 from repro.models.ppc750 import Ppc750Model, unit_routes
+from repro.models.ppc750.model import UNIT_NAMES
 
 from ..conftest import ppc_program
 
@@ -78,6 +84,68 @@ class TestSuperscalar:
         mul = decode(0, encode.x_form(ppc_isa.XO_MULLW, 1, 2, 3))
         assert unit_routes(add) == (ppc_isa.UNIT_IU2, ppc_isa.UNIT_IU1)
         assert unit_routes(mul) == (ppc_isa.UNIT_IU1,)
+
+
+def _stub_osm(unit=None, rs_unit=None):
+    instr = SimpleNamespace(unit=unit)
+    return SimpleNamespace(operation=SimpleNamespace(instr=instr, rs_unit=rs_unit))
+
+
+class TestDecodeTimeRoutes:
+    """Each route and station guard is one comparison on a field fixed
+    before the operation enters Q or R; the callable, the inline
+    expression the fused stepper pastes, and ``unit_routes`` agree."""
+
+    @staticmethod
+    def _agree(guard, osm):
+        pasted = eval(guard.__fuse_inline__, {}, {"osm": osm})
+        return guard(osm), pasted
+
+    @pytest.mark.parametrize("choice_index", [0, 1])
+    @pytest.mark.parametrize("unit_name", UNIT_NAMES)
+    def test_route_guard_matches_unit_routes(self, unit_name, choice_index):
+        model = build("    li r3, 0")
+
+        def routed(unit):
+            routes = unit_routes(SimpleNamespace(unit=unit))
+            return len(routes) > choice_index and routes[choice_index] == unit_name
+
+        if not any(routed(unit) for unit in UNIT_NAMES):
+            # no decoded unit takes this route: there is no guard to build
+            with pytest.raises(ValueError):
+                model._route_guard(unit_name, choice_index)
+            return
+        guard = model._route_guard(unit_name, choice_index)
+        for unit in UNIT_NAMES + ("unknown",):
+            called, pasted = self._agree(guard, _stub_osm(unit=unit))
+            assert called is pasted is routed(unit), unit
+
+    @pytest.mark.parametrize("unit_name", UNIT_NAMES)
+    def test_station_guard_matches_rs_unit(self, unit_name):
+        guard = build("    li r3, 0")._station_guard(unit_name)
+        for rs_unit in UNIT_NAMES + (None,):
+            called, pasted = self._agree(guard, _stub_osm(rs_unit=rs_unit))
+            assert called is pasted is (rs_unit == unit_name)
+
+    def test_every_dispatch_guard_declares_an_inline_comparison(self):
+        spec = build("    li r3, 0").spec
+        guards = [p for e in spec.edges for p in e.condition.primitives
+                  if type(p) is Guard]
+        inline = [p.label for p in guards
+                  if getattr(p.predicate, "__fuse_inline__", None)]
+        # 13 routes (6 direct, 1 IU1 alternate, 6 station) + 6 issue guards
+        assert len(inline) == 19
+        assert [p.label for p in guards if p.label not in inline] \
+            == ["fetch-ready"]
+
+    def test_fused_dispatch_steppers_paste_the_guards(self):
+        states = build("    li r3, 0").spec.states
+        q_source = states["Q"]._fused.__fused_source__
+        assert "if not (osm.operation.instr.unit == 'lsu'):" in q_source
+        assert "if not (osm.operation.rs_unit == 'lsu'):" \
+            in states["R"]._fused.__fused_source__
+        for name in "QR":
+            assert "pred" not in states[name]._fused.__fused_source__
 
 
 class TestInOrderDiscipline:
